@@ -1,25 +1,16 @@
-//! Sharded-validation scaling benchmark: the sequential walk vs the
-//! deterministic work-stealing sharded walk across pub-point counts
-//! and shard counts, exported to `BENCH_scale.json`.
+//! Validation scaling benchmark: the one sequential validation walk
+//! across publication-point counts, exported to `BENCH_scale.json`.
 //!
 //! The workload is a cold full walk of [`SyntheticRpki`] worlds sized
-//! 156 → 993 → 4971 publication points. Every sharded cell is checked
-//! byte-identical (serialised JSON) to the sequential walk of the same
-//! world before its timings are recorded, so the sweep doubles as the
-//! N-shard ≡ 1-shard equivalence gate. An incremental cell per shape
-//! additionally composes the memo cache with the sharded walk.
+//! 156 → 993 → 4971 publication points, one cell per size. An
+//! incremental cell per size then warms a [`ValidationState`], churns
+//! 10% of directories and revalidates; its output is checked
+//! byte-identical (serialised JSON) to a cold walk of the same world
+//! before its timing is recorded, so the sweep doubles as an
+//! incremental ≡ cold equivalence gate at scale.
 //!
-//! Two speedups are reported per cell:
-//!
-//! - `wall_speedup` — sequential wall time over sharded wall time.
-//!   Honest but host-bound: on a single-core container the sharded
-//!   walk cannot beat the sequential one, it only pays thread
-//!   overhead.
-//! - `model_speedup` — total shard busy time over the schedule's
-//!   critical path (`ShardStats::model_speedup`). This measures the
-//!   load balance the scheduler achieved — the factor the walk gains
-//!   *given one core per shard* — and is host-independent, so it is
-//!   what the release floor asserts.
+//! The release build asserts near-linear scaling: the cold walk's
+//! per-point cost may spread at most 6× across the ~32× size range.
 //!
 //! ```sh
 //! cargo run --release -p rpki-risk-bench --bin bench_scale
@@ -27,7 +18,7 @@
 //!
 //! `--scale N` multiplies the per-CA ROA count; `--json` mirrors the
 //! records to stderr; `--trace PATH` (or `BENCH_TRACE`) writes a JSONL
-//! trace of one instrumented sharded walk.
+//! trace of one instrumented incremental walk.
 
 use std::time::Instant;
 
@@ -36,10 +27,10 @@ use rpki_risk::SyntheticRpki;
 use rpki_risk_bench::{
     emit_json, scale_arg, trace_recorder, write_trace, Recorder, Summary, SummaryTable,
 };
-use rpki_rp::{ShardPlan, ValidationRun, ValidationState};
+use rpki_rp::{ValidationRun, ValidationState};
 use serde::Serialize;
 
-/// One measured (tree shape, shard count) cell.
+/// One measured (tree shape, mode) cell.
 #[derive(Debug, Serialize)]
 struct Record {
     pub_points: usize,
@@ -48,16 +39,15 @@ struct Record {
     roas_per_ca: usize,
     vrps: usize,
     mode: String,
-    shards: usize,
-    seq_ns: u128,
-    sharded_ns: u128,
-    wall_speedup: f64,
-    model_speedup: f64,
-    waves: u64,
-    items: u64,
-    steals: u64,
-    assigned_min: u64,
-    assigned_max: u64,
+    /// Wall time of this cell's walk.
+    walk_ns: u128,
+    /// Wall time of a cold walk of the same world at the same moment.
+    cold_ns: u128,
+    /// `cold_ns / walk_ns` (1 for cold cells).
+    vs_cold: f64,
+    per_point_ns: f64,
+    subtrees_reused: u64,
+    subtrees_rewalked: u64,
 }
 
 /// The run's canonical byte form: its JSONL trace emitted into a
@@ -83,14 +73,13 @@ fn time_min<F: FnMut()>(iters: usize, mut f: F) -> u128 {
 
 fn main() {
     let scale = scale_arg().max(1);
-    let mut report = Summary::new(&format!("Sharded validation scaling benchmark (scale {scale})"));
+    let mut report = Summary::new(&format!("Validation scaling benchmark (scale {scale})"));
     let rec = trace_recorder();
 
     // (depth, branching): 156, 993, and 4971 publication points — the
-    // RIR-hosted fan-outs the tentpole sweeps. ROAs are kept thin so
-    // walk cost tracks pub-point count, not ROA parsing.
+    // RIR-hosted fan-outs of a planet-scale world. ROAs are kept thin
+    // so walk cost tracks pub-point count, not ROA parsing.
     let shapes = [(3u32, 5u32), (2, 31), (2, 70)];
-    let shard_counts = [1usize, 2, 4, 8];
     let iters = if cfg!(debug_assertions) { 1 } else { 2 };
     let roas_per_ca = 4 * scale;
 
@@ -100,61 +89,40 @@ fn main() {
         let points = w.publication_points();
         let now = Moment(2);
 
-        let run_seq = w.validate_cold(now);
-        let seq_json = run_jsonl(&run_seq);
-        let seq_ns = time_min(iters, || {
+        let cas = w.validate_cold(now).cas.len() as u64;
+        let cold_ns = time_min(iters, || {
             w.validate_cold(now);
         });
+        records.push(Record {
+            pub_points: points,
+            depth,
+            branching,
+            roas_per_ca,
+            vrps: w.roa_count + 1,
+            mode: "cold".into(),
+            walk_ns: cold_ns,
+            cold_ns,
+            vs_cold: 1.0,
+            per_point_ns: cold_ns as f64 / points as f64,
+            subtrees_reused: 0,
+            subtrees_rewalked: cas,
+        });
 
-        for shards in shard_counts {
-            let plan = ShardPlan::new(shards);
-            let (run, stats) = w.validate_cold_sharded(now, plan);
-            assert_eq!(run, run_seq, "sharded walk ({shards} shards) diverged at {points} points");
-            let sharded_json = run_jsonl(&run);
-            assert_eq!(
-                sharded_json, seq_json,
-                "sharded walk ({shards} shards) not byte-identical at {points} points"
-            );
-            let sharded_ns = time_min(iters, || {
-                w.validate_cold_sharded(now, plan);
-            });
-            records.push(Record {
-                pub_points: points,
-                depth,
-                branching,
-                roas_per_ca,
-                vrps: w.roa_count + 1,
-                mode: "cold".into(),
-                shards,
-                seq_ns,
-                sharded_ns,
-                wall_speedup: seq_ns as f64 / sharded_ns as f64,
-                model_speedup: stats.model_speedup(),
-                waves: stats.waves,
-                items: stats.items,
-                steals: stats.steals,
-                assigned_min: stats.assigned.iter().copied().min().unwrap_or(0),
-                assigned_max: stats.assigned.iter().copied().max().unwrap_or(0),
-            });
-        }
-
-        // One incremental cell: the memo cache composes with the
-        // sharded walk — warm the state, churn 10% of directories,
-        // then revalidate sharded and check against a cold walk.
+        // The incremental cell: warm the memo cache, churn 10% of
+        // directories, then revalidate and check against a cold walk.
         let mut state = ValidationState::probe();
-        let plan = ShardPlan::new(4);
-        w.validate_incremental_sharded(Moment(4), plan, &mut state);
+        w.validate_incremental(Moment(4), &mut state);
         w.churn(10, Moment(10));
         let cold = w.validate_cold(Moment(40));
         let cold_json = run_jsonl(&cold);
         let start = Instant::now();
-        let (run, stats) = w.validate_incremental_sharded(Moment(40), plan, &mut state);
-        let sharded_ns = start.elapsed().as_nanos();
-        assert_eq!(run, cold, "incremental sharded walk diverged at {points} points");
+        let run = w.validate_incremental(Moment(40), &mut state);
+        let walk_ns = start.elapsed().as_nanos();
+        assert_eq!(run, cold, "incremental walk diverged at {points} points");
         assert_eq!(
             run_jsonl(&run),
             cold_json,
-            "incremental sharded walk not byte-identical at {points} points"
+            "incremental walk not byte-identical at {points} points"
         );
         let cold_ns = time_min(iters, || {
             w.validate_cold(Moment(40));
@@ -166,104 +134,70 @@ fn main() {
             roas_per_ca,
             vrps: w.roa_count + 1,
             mode: "incremental".into(),
-            shards: plan.shards,
-            seq_ns: cold_ns,
-            sharded_ns,
-            wall_speedup: cold_ns as f64 / sharded_ns as f64,
-            model_speedup: stats.model_speedup(),
-            waves: stats.waves,
-            items: stats.items,
-            steals: stats.steals,
-            assigned_min: stats.assigned.iter().copied().min().unwrap_or(0),
-            assigned_max: stats.assigned.iter().copied().max().unwrap_or(0),
+            walk_ns,
+            cold_ns,
+            vs_cold: cold_ns as f64 / walk_ns as f64,
+            per_point_ns: walk_ns as f64 / points as f64,
+            subtrees_reused: state.stats().subtrees_reused,
+            subtrees_rewalked: state.stats().subtrees_rewalked,
         });
 
-        // One instrumented sharded walk so the trace artifact carries
-        // the deterministic shard-shape events.
+        // One instrumented incremental walk so the trace artifact
+        // carries the run summary and the incremental counters.
         if rec.is_enabled() {
             w.net.set_recorder(rec.clone());
-            let (_, stats) = w.validate_cold_sharded(Moment(60), plan);
-            stats.emit(&rec, 60);
-            w.net.set_recorder(rpki_risk_bench::Recorder::disabled());
+            let run = w.validate_incremental(Moment(60), &mut state);
+            run.emit(&rec, 60);
+            state.stats().emit(&rec, 60);
+            w.net.set_recorder(Recorder::disabled());
         }
     }
 
     let mut out = SummaryTable::new(&[
         "points",
         "mode",
-        "shards",
-        "seq (ms)",
-        "sharded (ms)",
-        "wall",
-        "model",
-        "waves",
-        "steals",
-        "assigned min/max",
+        "walk (ms)",
+        "cold (ms)",
+        "vs cold",
+        "per point (µs)",
+        "reused",
+        "rewalked",
     ]);
     for r in &records {
         out.row(&[
             r.pub_points.to_string(),
             r.mode.clone(),
-            r.shards.to_string(),
-            format!("{:.3}", r.seq_ns as f64 / 1e6),
-            format!("{:.3}", r.sharded_ns as f64 / 1e6),
-            format!("{:.2}x", r.wall_speedup),
-            format!("{:.2}x", r.model_speedup),
-            r.waves.to_string(),
-            r.steals.to_string(),
-            format!("{}/{}", r.assigned_min, r.assigned_max),
+            format!("{:.3}", r.walk_ns as f64 / 1e6),
+            format!("{:.3}", r.cold_ns as f64 / 1e6),
+            format!("{:.2}x", r.vs_cold),
+            format!("{:.1}", r.per_point_ns / 1e3),
+            r.subtrees_reused.to_string(),
+            r.subtrees_rewalked.to_string(),
         ]);
     }
-    report.table("sequential vs sharded cold walk", out);
+    report.table("sequential validation walk", out);
 
-    // Near-linear scaling: the sequential per-point cost should stay
+    // Near-linear scaling: the cold walk's per-point cost should stay
     // flat as the world grows ~32x. Quadratic behaviour would show up
     // as a ~32x ratio here.
-    let per_point: Vec<(usize, f64)> = shapes
-        .iter()
-        .map(|&(d, b)| {
-            let r = records
-                .iter()
-                .find(|r| r.depth == d && r.branching == b && r.shards == 1 && r.mode == "cold")
-                .expect("cold 1-shard cell per shape");
-            (r.pub_points, r.seq_ns as f64 / r.pub_points as f64)
-        })
-        .collect();
+    let per_point: Vec<f64> =
+        records.iter().filter(|r| r.mode == "cold").map(|r| r.per_point_ns).collect();
     let per_point_ratio = {
-        let min = per_point.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
-        let max = per_point.iter().map(|&(_, c)| c).fold(0.0f64, f64::max);
+        let min = per_point.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = per_point.iter().copied().fold(0.0f64, f64::max);
         max / min
     };
-    let floor_model = records
-        .iter()
-        .filter(|r| r.mode == "cold" && r.pub_points >= 1000 && r.shards >= 4)
-        .map(|r| r.model_speedup)
-        .fold(f64::INFINITY, f64::min);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     report.key_vals(
         "targets",
-        &[
-            (
-                "per-point sequential cost spread (max/min over 156→4971 points)".to_string(),
-                format!("{per_point_ratio:.2}x"),
-            ),
-            (
-                "minimum model speedup at >=1000 points with >=4 shards".to_string(),
-                format!("{floor_model:.2}x"),
-            ),
-            ("host cores".to_string(), cores.to_string()),
-        ],
+        &[(
+            "per-point cold-walk cost spread (max/min over 156→4971 points)".to_string(),
+            format!("{per_point_ratio:.2}x"),
+        )],
     );
-    if cores < 2 {
-        report.note(
-            "(single-core host — wall speedups cannot exceed 1x; the floor is on model_speedup, \
-             the schedule's load balance, which is host-independent)",
-        );
-    }
     if cfg!(debug_assertions) {
-        report.note("(debug build — scaling floors not enforced; run with --release)");
-    } else if floor_model >= 2.0 && per_point_ratio <= 6.0 {
-        report.note("OK: >= 2x model speedup floor and near-linear per-point cost.");
+        report.note("(debug build — scaling floor not enforced; run with --release)");
+    } else if per_point_ratio <= 6.0 {
+        report.note("OK: near-linear per-point cost.");
     }
     report.print();
 
@@ -280,20 +214,4 @@ fn main() {
         cfg!(debug_assertions) || per_point_ratio <= 6.0,
         "sequential walk is no longer near-linear: per-point cost spread {per_point_ratio:.2}x"
     );
-    assert!(
-        cfg!(debug_assertions) || floor_model >= 2.0,
-        "sharded schedule regressed below the 2x model-speedup floor ({floor_model:.2}x)"
-    );
-    // Wall-clock floor only where the host can physically express it.
-    if cores >= 2 {
-        let wall = records
-            .iter()
-            .filter(|r| r.mode == "cold" && r.pub_points >= 1000 && r.shards >= 2)
-            .map(|r| r.wall_speedup)
-            .fold(0.0f64, f64::max);
-        assert!(
-            cfg!(debug_assertions) || wall >= 1.0,
-            "sharded walk never beat the sequential walk on a {cores}-core host ({wall:.2}x)"
-        );
-    }
 }

@@ -49,7 +49,7 @@ use rpki_repo::{Freshness, RrdpClientState, SyncPolicy};
 use rpki_rp::fabric::{pump_until, RtrEndpoint};
 use rpki_rp::{
     MergePolicy, Relay, ResilienceConfig, ResilientState, Route, RouteValidity, RtrFabric,
-    RtrRouter, SchedulePlan, SchedulerState, ShardPlan, SlurmFile, UnsafeVrpPolicy, ValidationRun,
+    RtrRouter, SchedulePlan, SchedulerState, SlurmFile, UnsafeVrpPolicy, ValidationRun,
     ValidationState, Vrp, VrpCache, VrpUpdate,
 };
 use serde::Serialize;
@@ -498,10 +498,9 @@ pub fn run_campaign_traced(spec: &CampaignSpec, seed: u64, recorder: &Recorder) 
 /// thousands of relying parties hammer the same publication points —
 /// instead of the per-tier clones [`run_campaign`] uses to isolate
 /// fault dice. Each tier gets its own relying-party network node and
-/// its own persistent caches; every walk runs under `plan`'s sharded
-/// scheduler when given (output is byte-identical either way). The
-/// outcome adds per-round cross-tier VRP divergence and the server-side
-/// load ledger each host accumulated over the campaign rounds.
+/// its own persistent caches. The outcome adds per-round cross-tier
+/// VRP divergence and the server-side load ledger each host
+/// accumulated over the campaign rounds.
 ///
 /// Note the shared world is *not* metric-identical to the per-tier
 /// worlds: probabilistic faults draw from one shared dice stream, so a
@@ -510,7 +509,6 @@ pub fn run_campaign_traced(spec: &CampaignSpec, seed: u64, recorder: &Recorder) 
 pub fn run_campaign_shared(
     spec: &CampaignSpec,
     seed: u64,
-    plan: Option<ShardPlan>,
     recorder: &Recorder,
 ) -> SharedCampaignOutcome {
     struct TierState {
@@ -557,7 +555,6 @@ pub fn run_campaign_shared(
             &mut t.suspenders,
             &mut t.rrdp,
             Some(&mut t.validation),
-            plan,
             spec.unsafe_vrps,
         );
         t.prev_downgrades = t.rrdp.stats().downgrades;
@@ -592,7 +589,6 @@ pub fn run_campaign_shared(
                 &mut t.suspenders,
                 &mut t.rrdp,
                 Some(&mut t.validation),
-                plan,
                 spec.unsafe_vrps,
             );
             let m = round_metrics(
@@ -770,7 +766,6 @@ pub fn run_campaign_rtr(
             &mut t.suspenders,
             &mut t.rrdp,
             Some(&mut t.validation),
-            None,
             spec.unsafe_vrps,
         );
         t.prev_downgrades = t.rrdp.stats().downgrades;
@@ -814,7 +809,6 @@ pub fn run_campaign_rtr(
                 &mut t.suspenders,
                 &mut t.rrdp,
                 Some(&mut t.validation),
-                None,
                 spec.unsafe_vrps,
             );
             let m = round_metrics(
@@ -1053,7 +1047,6 @@ fn run_tier(
         &mut suspenders,
         &mut rrdp_state,
         validation_state.as_mut(),
-        None,
         spec.unsafe_vrps,
     );
     let mut prev_downgrades = rrdp_state.stats().downgrades;
@@ -1082,7 +1075,6 @@ fn run_tier(
             &mut suspenders,
             &mut rrdp_state,
             validation_state.as_mut(),
-            None,
             spec.unsafe_vrps,
         );
 
@@ -1195,7 +1187,6 @@ fn validate_tier(
     suspenders: &mut SuspendersState,
     rrdp: &mut RrdpClientState,
     incremental: Option<&mut ValidationState>,
-    shards: Option<ShardPlan>,
     unsafe_vrps: UnsafeVrpPolicy,
 ) -> ValidationRun {
     let base = move |m| ValidationOptions::at(m).unsafe_vrps(unsafe_vrps);
@@ -1210,10 +1201,6 @@ fn validate_tier(
     };
     let opts = match incremental {
         Some(state) => opts.incremental(state),
-        None => opts,
-    };
-    let opts = match shards {
-        Some(plan) => opts.sharded(plan),
         None => opts,
     };
     w.validate_with(opts)
@@ -1763,29 +1750,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_campaign_is_shard_count_invariant() {
-        // The campaign-tier equivalence pin: a shared-world campaign is
-        // byte-identical whether each walk runs sequentially, under one
-        // shard, or under eight — faults, caches, and all.
-        let spec = takedown_spec();
-        let seq =
-            serde_json::to_string(&run_campaign_shared(&spec, 7, None, &Recorder::disabled()))
-                .unwrap();
-        for shards in [1, 2, 8] {
-            let sharded = serde_json::to_string(&run_campaign_shared(
-                &spec,
-                7,
-                Some(ShardPlan::new(shards)),
-                &Recorder::disabled(),
-            ))
-            .unwrap();
-            assert_eq!(seq, sharded, "shards={shards} must not change a byte");
-        }
-    }
-
-    #[test]
     fn shared_campaign_measures_divergence_and_load() {
-        let out = run_campaign_shared(&takedown_spec(), 42, None, &Recorder::disabled());
+        let out = run_campaign_shared(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(out.tiers.len(), RpTier::ALL.len());
         assert_eq!(out.divergence.len(), out.rounds);
         // During the takedown window the stale tier keeps serving while
@@ -1806,7 +1772,7 @@ mod tests {
         let bare = out.tier(RpTier::Bare).totals;
         assert!(stale.vrp_round_sum > bare.vrp_round_sum, "{stale:?} vs {bare:?}");
         // Deterministic replay, since every fault here is dice-free.
-        let again = run_campaign_shared(&takedown_spec(), 42, None, &Recorder::disabled());
+        let again = run_campaign_shared(&takedown_spec(), 42, &Recorder::disabled());
         assert_eq!(serde_json::to_string(&out).unwrap(), serde_json::to_string(&again).unwrap());
     }
 

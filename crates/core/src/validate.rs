@@ -33,8 +33,8 @@ use rpki_objects::Moment;
 use rpki_repo::{RrdpClientState, SyncPolicy};
 use rpki_rp::{
     DirectSource, NetworkSource, ObjectSource, ResilientSource, ResilientState, RrdpSource,
-    SchedulePlan, ScheduledSource, SchedulerState, ShardPlan, ShardStats, UnsafeVrpPolicy,
-    ValidationConfig, ValidationRun, ValidationState, Validator,
+    SchedulePlan, ScheduledSource, SchedulerState, UnsafeVrpPolicy, ValidationConfig,
+    ValidationRun, ValidationState, Validator,
 };
 
 use crate::fixtures::ModelRpki;
@@ -57,7 +57,6 @@ pub struct ValidationOptions<'a> {
     incremental: Option<&'a mut ValidationState>,
     rrdp: Option<&'a mut RrdpClientState>,
     rrdp_verify: bool,
-    shards: Option<ShardPlan>,
     unsafe_vrps: UnsafeVrpPolicy,
     scheduled: Option<(SchedulePlan, &'a mut SchedulerState)>,
 }
@@ -76,7 +75,6 @@ impl<'a> ValidationOptions<'a> {
             incremental: None,
             rrdp: None,
             rrdp_verify: true,
-            shards: None,
             unsafe_vrps: UnsafeVrpPolicy::default(),
             scheduled: None,
         }
@@ -158,16 +156,6 @@ impl<'a> ValidationOptions<'a> {
         self
     }
 
-    /// Execute the walk as independent per-publication-point shard
-    /// units under `plan`'s deterministic work-stealing scheduler. The
-    /// output is byte-identical to the unsharded walk for any shard
-    /// count; scheduler statistics are emitted through the world's
-    /// recorder. Composes with [`incremental`](Self::incremental).
-    pub fn sharded(mut self, plan: ShardPlan) -> Self {
-        self.shards = Some(plan);
-        self
-    }
-
     /// What to do with *unsafe* VRPs — payloads whose prefix overlaps
     /// the resources of a CA the walk rejected. The default
     /// ([`UnsafeVrpPolicy::Accept`]) skips the analysis;
@@ -205,29 +193,18 @@ fn run_stack<S: ObjectSource>(
     source: S,
     stale_cache: Option<&mut ResilientState>,
     incremental: Option<&mut ValidationState>,
-    shards: Option<ShardPlan>,
     scheduled: Option<(SchedulePlan, &mut SchedulerState)>,
     tals: &[rpki_objects::TrustAnchorLocator],
-) -> (ValidationRun, Option<ShardStats>) {
+) -> ValidationRun {
     fn walk(
         config: ValidationConfig,
         source: &mut dyn ObjectSource,
         incremental: Option<&mut ValidationState>,
-        shards: Option<ShardPlan>,
         tals: &[rpki_objects::TrustAnchorLocator],
-    ) -> (ValidationRun, Option<ShardStats>) {
-        match (shards, incremental) {
-            (Some(plan), Some(inc)) => {
-                let (run, stats) =
-                    Validator::new(config).run_sharded_incremental(source, tals, plan, inc);
-                (run, Some(stats))
-            }
-            (Some(plan), None) => {
-                let (run, stats) = Validator::new(config).run_sharded(source, tals, plan);
-                (run, Some(stats))
-            }
-            (None, Some(inc)) => (Validator::new(config).run_incremental(source, tals, inc), None),
-            (None, None) => (Validator::new(config).run(source, tals), None),
+    ) -> ValidationRun {
+        match incremental {
+            Some(state) => Validator::new(config).run_incremental(source, tals, state),
+            None => Validator::new(config).run(source, tals),
         }
     }
     // The scheduler wraps *outermost*: a not-due directory is answered
@@ -238,19 +215,19 @@ fn run_stack<S: ObjectSource>(
         (Some(state), Some((plan, sched))) => {
             let resilient = ResilientSource::new(source, state);
             let mut source = ScheduledSource::new(resilient, sched, plan);
-            walk(config, &mut source, incremental, shards, tals)
+            walk(config, &mut source, incremental, tals)
         }
         (Some(state), None) => {
             let mut source = ResilientSource::new(source, state);
-            walk(config, &mut source, incremental, shards, tals)
+            walk(config, &mut source, incremental, tals)
         }
         (None, Some((plan, sched))) => {
             let mut source = ScheduledSource::new(source, sched, plan);
-            walk(config, &mut source, incremental, shards, tals)
+            walk(config, &mut source, incremental, tals)
         }
         (None, None) => {
             let mut source = source;
-            walk(config, &mut source, incremental, shards, tals)
+            walk(config, &mut source, incremental, tals)
         }
     }
 }
@@ -270,7 +247,6 @@ impl ModelRpki {
             mut incremental,
             rrdp,
             rrdp_verify,
-            shards,
             unsafe_vrps,
             mut scheduled,
         } = opts;
@@ -286,13 +262,12 @@ impl ModelRpki {
         }
         let fallback_window = scheduled.as_ref().and_then(|(plan, _)| plan.rrdp_fallback_time);
         let tals = std::slice::from_ref(&self.tal);
-        let (run, shard_stats) = if direct {
+        let run = if direct {
             run_stack(
                 config,
                 DirectSource::new(&self.repos),
                 stale_cache,
                 incremental.as_deref_mut(),
-                shards,
                 scheduled,
                 tals,
             )
@@ -306,15 +281,7 @@ impl ModelRpki {
             if let Some(window) = fallback_window {
                 source = source.fallback_after(window);
             }
-            run_stack(
-                config,
-                source,
-                stale_cache,
-                incremental.as_deref_mut(),
-                shards,
-                scheduled,
-                tals,
-            )
+            run_stack(config, source, stale_cache, incremental.as_deref_mut(), scheduled, tals)
         } else {
             let source = match retry {
                 Some(policy) => {
@@ -322,20 +289,9 @@ impl ModelRpki {
                 }
                 None => NetworkSource::new(&mut self.net, &self.repos, self.rp_node),
             };
-            run_stack(
-                config,
-                source,
-                stale_cache,
-                incremental.as_deref_mut(),
-                shards,
-                scheduled,
-                tals,
-            )
+            run_stack(config, source, stale_cache, incremental.as_deref_mut(), scheduled, tals)
         };
         run.emit(&rec, now.0);
-        if let Some(stats) = shard_stats {
-            stats.emit(&rec, now.0);
-        }
         if let Some(state) = incremental {
             state.stats().emit(&rec, now.0);
         }
@@ -514,28 +470,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_option_matches_unsharded_and_traces() {
+    fn incremental_option_matches_cold_and_traces() {
         let mut plain = ModelRpki::build_seeded(5);
-        let mut sharded = ModelRpki::build_seeded(5);
+        let mut warm = ModelRpki::build_seeded(5);
         let rec = Recorder::new();
-        sharded.net.set_recorder(rec.clone());
+        warm.net.set_recorder(rec.clone());
         let a = plain.validate_with(ValidationOptions::at(Moment(2)));
-        let b = sharded.validate_with(ValidationOptions::at(Moment(2)).sharded(ShardPlan::new(4)));
-        assert_eq!(a, b, "sharded walk must be byte-identical to the sequential walk");
-        assert_eq!(rec.metrics().counter("rp.shard.runs"), 1);
-        assert!(rec.events().iter().any(|e| e.layer == "rp" && e.kind == "sharded_walk"));
-        // Composes with the incremental cache: a quiet sharded re-run
-        // replays every subtree.
         let mut state = ValidationState::full();
-        let warm = sharded.validate_with(
-            ValidationOptions::at(Moment(3)).sharded(ShardPlan::new(4)).incremental(&mut state),
-        );
-        assert_eq!(warm.vrps, a.vrps);
-        let again = sharded.validate_with(
-            ValidationOptions::at(Moment(4)).sharded(ShardPlan::new(4)).incremental(&mut state),
-        );
+        let b = warm.validate_with(ValidationOptions::at(Moment(2)).incremental(&mut state));
+        assert_eq!(a, b, "the incremental walk must be byte-identical to the cold walk");
+        assert_eq!(rec.metrics().counter("rp.incremental.runs"), 1);
+        assert!(rec.events().iter().any(|e| e.layer == "rp" && e.kind == "incremental"));
+        // A quiet re-run replays every subtree, still byte-identical.
+        let again = warm.validate_with(ValidationOptions::at(Moment(3)).incremental(&mut state));
         assert_eq!(again.vrps, a.vrps);
         assert_eq!(state.stats().subtrees_reused, 4);
+        assert_eq!(rec.metrics().counter("rp.incremental.runs"), 2);
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub struct Repository {
     /// Served-load ledger, keyed per requested directory. Interior
     /// mutability because the answer paths only hold `&Repository`;
     /// the ledger never crosses threads (all simulated I/O runs on the
-    /// coordinating thread, even under the sharded validator).
+    /// validator's one thread).
     load: RefCell<BTreeMap<Vec<String>, DirLoad>>,
     /// The publication-server policy every directory on this host runs
     /// under: snapshot compaction interval and delta retention budget.

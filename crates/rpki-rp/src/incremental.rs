@@ -61,7 +61,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ipres::ResourceSet;
-use rpki_objects::{Encode, Moment, TrustAnchorLocator, Validity};
+use rpki_objects::{Encode, Moment, Validity};
 use rpki_obs::Recorder;
 use rpki_repo::Freshness;
 use rpkisim_crypto::{sha256, Digest, KeyId};
@@ -99,8 +99,8 @@ pub(crate) struct ProcessObservations {
     now: u64,
     lo: u64,
     hi: u64,
-    pub(crate) child_keys: BTreeSet<KeyId>,
-    pub(crate) loop_seen: bool,
+    child_keys: BTreeSet<KeyId>,
+    loop_seen: bool,
 }
 
 impl ProcessObservations {
@@ -150,7 +150,7 @@ impl ProcessObservations {
 
     /// The half-open `[lo, hi)` window of validation times over which
     /// every observed comparison keeps its outcome.
-    pub(crate) fn window(&self) -> (u64, u64) {
+    fn window(&self) -> (u64, u64) {
         (self.lo, self.hi)
     }
 }
@@ -255,31 +255,31 @@ impl RevalidationStats {
 /// One memoized publication-point walk: the full key it was computed
 /// under plus everything processing pushed into the run.
 #[derive(Debug, Clone)]
-pub(crate) struct CacheEntry {
-    pub(crate) cert_digest: Digest,
-    pub(crate) effective: ResourceSet,
-    pub(crate) depth: usize,
-    pub(crate) incomplete: IncompletePolicy,
-    pub(crate) overclaim: OverclaimPolicy,
-    pub(crate) max_depth: usize,
-    pub(crate) dir: String,
-    pub(crate) dir_digest: Digest,
+struct CacheEntry {
+    cert_digest: Digest,
+    effective: ResourceSet,
+    depth: usize,
+    incomplete: IncompletePolicy,
+    overclaim: OverclaimPolicy,
+    max_depth: usize,
+    dir: String,
+    dir_digest: Digest,
     /// `[lo, hi)` of validation times preserving every time comparison.
-    pub(crate) window: (u64, u64),
+    window: (u64, u64),
     /// Certificate subject keys seen in the directory: replay requires
     /// the chain's ancestors to be disjoint from these.
-    pub(crate) child_keys: BTreeSet<KeyId>,
-    pub(crate) ca: ValidatedCa,
-    pub(crate) diagnostics: Vec<Diagnostic>,
-    pub(crate) accepted_roas: Vec<(String, String)>,
-    pub(crate) vrps: Vec<Vrp>,
-    pub(crate) vrp_records: Vec<VrpRecord>,
-    pub(crate) revocations: Vec<(KeyId, u64)>,
-    pub(crate) rejected_cas: Vec<RejectedCa>,
+    child_keys: BTreeSet<KeyId>,
+    ca: ValidatedCa,
+    diagnostics: Vec<Diagnostic>,
+    accepted_roas: Vec<(String, String)>,
+    vrps: Vec<Vrp>,
+    vrp_records: Vec<VrpRecord>,
+    revocations: Vec<(KeyId, u64)>,
+    rejected_cas: Vec<RejectedCa>,
     /// Child CAs in the order processing queued them, each with its
     /// cert digest precomputed so replayed subtrees never re-encode or
     /// re-hash certificates.
-    pub(crate) children: Vec<(rpki_objects::ResourceCert, ResourceSet, Digest)>,
+    children: Vec<(rpki_objects::ResourceCert, ResourceSet, Digest)>,
 }
 
 /// Persistent memory of an incremental relying party: the per-CA
@@ -288,11 +288,11 @@ pub(crate) struct CacheEntry {
 /// [`Validator::run_incremental`] each revalidation.
 #[derive(Debug)]
 pub struct ValidationState {
-    pub(crate) mode: RevalidationMode,
-    pub(crate) entries: BTreeMap<KeyId, CacheEntry>,
-    pub(crate) last_vrps: Option<Vec<Vrp>>,
-    pub(crate) last_delta: VrpDelta,
-    pub(crate) stats: RevalidationStats,
+    mode: RevalidationMode,
+    entries: BTreeMap<KeyId, CacheEntry>,
+    last_vrps: Option<Vec<Vrp>>,
+    last_delta: VrpDelta,
+    stats: RevalidationStats,
 }
 
 impl ValidationState {
@@ -348,64 +348,24 @@ impl ValidationState {
         self.last_delta = VrpDelta::default();
         self.stats = RevalidationStats::default();
     }
+
+    /// Closes a walk: records its delta against the previous run's
+    /// (sorted, deduplicated) VRP set and its statistics.
+    pub(crate) fn record(&mut self, vrps: &[Vrp], mut stats: RevalidationStats) {
+        let prev = self.last_vrps.take().unwrap_or_default();
+        let delta = VrpDelta::between(&prev, vrps);
+        stats.announced = delta.announce.len() as u64;
+        stats.withdrawn = delta.withdraw.len() as u64;
+        self.last_vrps = Some(vrps.to_vec());
+        self.last_delta = delta;
+        self.stats = stats;
+    }
 }
 
 impl Validator {
-    /// Runs validation from `tals` over `source`, reusing `state`'s
-    /// memoized subtrees where their cache key still matches and
-    /// re-walking the rest. Output is byte-identical to
-    /// [`Validator::run`] over the same world (see the module docs for
-    /// the Probe-mode caveat); afterwards `state` holds the VRP delta
-    /// against the previous run and this run's [`RevalidationStats`].
-    pub fn run_incremental(
-        &self,
-        source: &mut dyn ObjectSource,
-        tals: &[TrustAnchorLocator],
-        state: &mut ValidationState,
-    ) -> ValidationRun {
-        let mut run = ValidationRun::default();
-        let mut queue: Vec<WorkItem> = Vec::new();
-        let mut stats = RevalidationStats::default();
-
-        for tal in tals {
-            match self.fetch_ta(source, tal) {
-                Some(cert) => {
-                    let effective = cert.data().resources.clone();
-                    queue.push(WorkItem {
-                        cert,
-                        effective,
-                        depth: 0,
-                        ancestors: BTreeSet::new(),
-                        digest: None,
-                    })
-                }
-                None => run.diagnostics.push(Diagnostic {
-                    ca: "(trust anchor)".to_owned(),
-                    dir: tal.uri.to_string(),
-                    issue: crate::validation::Issue::TalRejected,
-                }),
-            }
-        }
-
-        while let Some(item) = queue.pop() {
-            self.step(source, item, &mut run, &mut queue, state, &mut stats);
-        }
-
-        self.finish(&mut run);
-
-        let prev = state.last_vrps.take().unwrap_or_default();
-        let delta = VrpDelta::between(&prev, &run.vrps);
-        stats.announced = delta.announce.len() as u64;
-        stats.withdrawn = delta.withdraw.len() as u64;
-        state.last_vrps = Some(run.vrps.clone());
-        state.last_delta = delta;
-        state.stats = stats;
-        run
-    }
-
     /// Processes one queued CA: replay from cache when the key matches,
     /// full walk (and re-memoization) otherwise.
-    fn step(
+    pub(crate) fn step(
         &self,
         source: &mut dyn ObjectSource,
         item: WorkItem,
@@ -531,7 +491,7 @@ impl Validator {
     /// walk queued them, so the overall traversal — and therefore every
     /// order-sensitive output vector — is identical. Freshness is live:
     /// it reports how *this* round obtained (or confirmed) the data.
-    pub(crate) fn replay(
+    fn replay(
         entry: &CacheEntry,
         freshness: Freshness,
         item: &WorkItem,

@@ -30,7 +30,6 @@ pub mod resilience;
 pub mod rrdp;
 pub mod rtr;
 pub mod scheduler;
-pub mod shard;
 pub mod source;
 pub mod validation;
 pub mod vrp;
@@ -45,7 +44,6 @@ pub use rtr::{
     serial_distance, serial_newer, ClientAction, Delta, RtrClient, RtrPdu, RtrServer, VrpUpdate,
 };
 pub use scheduler::{RunStats, SchedulePlan, ScheduledSource, SchedulerState, SchedulerStats};
-pub use shard::{ShardPlan, ShardStats};
 pub use source::{DirectSource, NetworkSource, ObjectSource, ResilientSource};
 pub use validation::{
     Diagnostic, IncompletePolicy, Issue, OverclaimPolicy, RejectedCa, UnsafeVrpPolicy,

@@ -134,8 +134,8 @@ impl SchedulePlan {
     }
 }
 
-/// The same finalizer `ShardPlan` seeds its work-stealing order with:
-/// one deterministic, well-mixed u64 per input.
+/// The SplitMix64 finalizer: one deterministic, well-mixed u64 per
+/// input.
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

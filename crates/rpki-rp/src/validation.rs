@@ -30,7 +30,7 @@ use rpki_repo::{Freshness, SyncOutcome};
 use rpkisim_crypto::{sha256, Digest, KeyId};
 use serde::Serialize;
 
-use crate::incremental::ProcessObservations;
+use crate::incremental::{ProcessObservations, RevalidationStats, ValidationState};
 use crate::source::ObjectSource;
 use crate::vrp::{Vrp, VrpCache};
 
@@ -393,8 +393,39 @@ impl Validator {
 
     /// Runs validation from `tals` over `source`.
     pub fn run(&self, source: &mut dyn ObjectSource, tals: &[TrustAnchorLocator]) -> ValidationRun {
+        self.walk(source, tals, None)
+    }
+
+    /// Runs validation from `tals` over `source`, reusing `state`'s
+    /// memoized subtrees where their cache key still matches and
+    /// re-walking the rest. Output is byte-identical to
+    /// [`Validator::run`] over the same world (see the
+    /// [`incremental`](crate::incremental) module docs for the
+    /// Probe-mode caveat); afterwards `state` holds the VRP delta
+    /// against the previous run and this run's
+    /// [`RevalidationStats`].
+    pub fn run_incremental(
+        &self,
+        source: &mut dyn ObjectSource,
+        tals: &[TrustAnchorLocator],
+        state: &mut ValidationState,
+    ) -> ValidationRun {
+        self.walk(source, tals, Some(state))
+    }
+
+    /// The one validation walk: seeds the queue from the TALs, pops it
+    /// depth-first (LIFO, so later-pushed siblings go first), and
+    /// canonicalises the run once at the end. With `state`, each CA
+    /// goes through the memo cache and the run's delta is recorded.
+    fn walk(
+        &self,
+        source: &mut dyn ObjectSource,
+        tals: &[TrustAnchorLocator],
+        mut state: Option<&mut ValidationState>,
+    ) -> ValidationRun {
         let mut run = ValidationRun::default();
         let mut queue: Vec<WorkItem> = Vec::new();
+        let mut stats = RevalidationStats::default();
 
         for tal in tals {
             match self.fetch_ta(source, tal) {
@@ -417,10 +448,16 @@ impl Validator {
         }
 
         while let Some(item) = queue.pop() {
-            self.process_ca(source, item, &mut run, &mut queue, None);
+            match state.as_deref_mut() {
+                Some(state) => self.step(source, item, &mut run, &mut queue, state, &mut stats),
+                None => self.process_ca(source, item, &mut run, &mut queue, None),
+            }
         }
 
         self.finish(&mut run);
+        if let Some(state) = state {
+            state.record(&run.vrps, stats);
+        }
         run
     }
 
@@ -429,12 +466,12 @@ impl Validator {
         self.config
     }
 
-    /// Final canonicalisation shared by every entry point: the
-    /// order-insensitive vectors are sorted and deduplicated, then the
-    /// unsafe-VRP policy is applied as a pure post-pass over the
-    /// rejected-CA record (so every tier — cold, incremental, sharded —
-    /// reaches the identical verdict from identical walk outputs).
-    pub(crate) fn finish(&self, run: &mut ValidationRun) {
+    /// Final canonicalisation of a walk: the order-insensitive vectors
+    /// are sorted and deduplicated, then the unsafe-VRP policy is
+    /// applied as a pure post-pass over the rejected-CA record (so cold
+    /// and incremental runs reach the identical verdict from identical
+    /// walk outputs).
+    fn finish(&self, run: &mut ValidationRun) {
         run.vrps.sort_unstable();
         run.vrps.dedup();
         run.vrp_records.sort_unstable_by_key(|r| (r.vrp, r.serial));
@@ -461,7 +498,7 @@ impl Validator {
         }
     }
 
-    pub(crate) fn fetch_ta(
+    fn fetch_ta(
         &self,
         source: &mut dyn ObjectSource,
         tal: &TrustAnchorLocator,

@@ -21,7 +21,7 @@ use rpki_risk::{
     run_campaign, run_campaign_shared, standard_campaigns, CampaignOutcome, CampaignSpec,
     FaultKind, FaultWindow, RpTier,
 };
-use rpki_rp::{ShardPlan, UnsafeVrpPolicy};
+use rpki_rp::UnsafeVrpPolicy;
 
 fn campaign(name: &str, seed: u64) -> CampaignOutcome {
     let spec = standard_campaigns()
@@ -132,14 +132,14 @@ fn adversarial_publish_campaign_replays_byte_identically() {
         serde_json::to_string(&b).expect("serializes"),
         "adversarial campaign replay diverged"
     );
-    // The shared-world harness replays identically too, sharded or not.
+    // The shared-world harness replays identically too.
     let rec = Recorder::disabled();
-    let shared = run_campaign_shared(&spec, 2013, Some(ShardPlan::new(4)), &rec);
-    let unsharded = run_campaign_shared(&spec, 2013, None, &rec);
+    let shared = run_campaign_shared(&spec, 2013, &rec);
+    let replay = run_campaign_shared(&spec, 2013, &rec);
     assert_eq!(
         serde_json::to_string(&shared).expect("serializes"),
-        serde_json::to_string(&unsharded).expect("serializes"),
-        "sharded adversarial campaign diverged from unsharded"
+        serde_json::to_string(&replay).expect("serializes"),
+        "shared-world adversarial campaign replay diverged"
     );
 
     // The poison bites and the healing works: the over-claimer window
@@ -243,15 +243,15 @@ fn campaign_soak_across_seeds() {
         }
 
         // One shared-world campaign per seed: every tier validates the
-        // same repository world, the walk runs sharded, and the
-        // invariants carry over — availability ordering, server-side
-        // load on every host, and shard-count-invariant replay.
+        // same repository world, and the invariants carry over —
+        // availability ordering, server-side load on every host, and
+        // byte-identical replay.
         let spec = standard_campaigns()
             .into_iter()
             .find(|s| s.name == "takedown")
             .expect("standard campaign exists");
         let rec = Recorder::disabled();
-        let shared = run_campaign_shared(&spec, seed, Some(ShardPlan::new(4)), &rec);
+        let shared = run_campaign_shared(&spec, seed, &rec);
         let stale = shared.tier(RpTier::RetryingStale).totals.vrp_round_sum;
         let bare = shared.tier(RpTier::Bare).totals.vrp_round_sum;
         assert!(bare <= stale, "shared world seed {seed}: bare {bare} > stale {stale}");
@@ -261,11 +261,11 @@ fn campaign_soak_across_seeds() {
             "seed {seed}: {:?}",
             shared.load
         );
-        let unsharded = run_campaign_shared(&spec, seed, None, &rec);
+        let replay = run_campaign_shared(&spec, seed, &rec);
         assert_eq!(
             serde_json::to_string(&shared).expect("serializes"),
-            serde_json::to_string(&unsharded).expect("serializes"),
-            "seed {seed}: sharded shared-world campaign diverged from unsharded"
+            serde_json::to_string(&replay).expect("serializes"),
+            "seed {seed}: shared-world campaign replay diverged"
         );
     }
 }

@@ -8,8 +8,7 @@
 //! world did in between. Everything the real schedule saves must come
 //! from policy, never from silently changing what a delegated fetch
 //! returns. These properties drive the `tests/incremental.rs` mutation
-//! vocabulary through the cold, incremental, and sharded validation
-//! tiers.
+//! vocabulary through the cold and incremental validation tiers.
 //!
 //! The ignored soak replays the schedule-gaming campaign — an
 //! authority that answers everything, slowly, to burn the per-run time
@@ -27,8 +26,8 @@ use rpki_risk::{
     gaming_schedule_plan, run_schedule_gaming, schedule_gaming_campaign, SyntheticRpki,
 };
 use rpki_rp::{
-    NetworkSource, SchedulePlan, ScheduledSource, SchedulerState, ShardPlan, ValidationConfig,
-    ValidationRun, ValidationState, Validator, Vrp,
+    NetworkSource, SchedulePlan, ScheduledSource, SchedulerState, ValidationConfig, ValidationRun,
+    ValidationState, Validator, Vrp,
 };
 
 const HOST: &str = "rpki.bench.example";
@@ -119,15 +118,14 @@ fn run_jsonl(run: &ValidationRun) -> String {
     rec.trace_jsonl()
 }
 
-/// The three relying-party tiers the scheduler composes with.
+/// The two relying-party tiers the scheduler composes with.
 #[derive(Debug, Clone, Copy)]
 enum Tier {
     Cold,
     Incremental,
-    Sharded,
 }
 
-const TIERS: [Tier; 3] = [Tier::Cold, Tier::Incremental, Tier::Sharded];
+const TIERS: [Tier; 2] = [Tier::Cold, Tier::Incremental];
 
 /// One walk of `tier` over the network, optionally under a schedule.
 /// Returns the run and the wire frames it cost.
@@ -150,7 +148,6 @@ fn run_tier(
                 Tier::Incremental => {
                     validator.run_incremental(&mut source, tals, inc.expect("state"))
                 }
-                Tier::Sharded => validator.run_sharded(&mut source, tals, ShardPlan::new(4)).0,
             }
         }
         None => {
@@ -160,7 +157,6 @@ fn run_tier(
                 Tier::Incremental => {
                     validator.run_incremental(&mut source, tals, inc.expect("state"))
                 }
-                Tier::Sharded => validator.run_sharded(&mut source, tals, ShardPlan::new(4)).0,
             }
         }
     };
