@@ -5,9 +5,21 @@
 //! production fidelity: flip any bit of a published ROA and the relying
 //! party's manifest/hash check fails, exactly as in a deployment.
 //!
-//! The implementation is the straightforward 64-round compression
-//! function; unit tests pin it to the NIST test vectors.
+//! Two compression kernels sit behind one [`Sha256`]: the portable
+//! 64-round scalar function from the specification, and on x86_64 CPUs
+//! with the SHA extensions a hardware kernel (`sha256rnds2`,
+//! `sha256msg1`/`msg2`) about seven times faster on long messages. The choice is made at
+//! run time, once per [`Sha256::update`] over its whole run of full
+//! blocks; the scalar kernel is the only path everywhere else and the
+//! reference the tests hold the hardware kernel to. Both produce the
+//! same digests bit for bit, and unit tests pin both to the NIST test
+//! vectors.
+//!
+//! [`blocks_compressed`] counts the 64-byte blocks the calling thread
+//! has hashed, a machine-independent measure of hash work that tests
+//! can pin.
 
+use std::cell::Cell;
 use std::fmt;
 use std::str::FromStr;
 
@@ -98,6 +110,74 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
+
+/// A compression kernel: folds a whole number of 64-byte blocks into
+/// the state.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+thread_local! {
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The number of 64-byte blocks the calling thread has compressed
+/// since it started, padding blocks included. Each thread counts its
+/// own hashing only, so a test can take the difference around a piece
+/// of work while other tests hash on other threads.
+pub fn blocks_compressed() -> u64 {
+    BLOCKS.with(Cell::get)
+}
+
+/// The kernel every hash goes through: the SHA-NI kernel when the CPU
+/// has it, the scalar one otherwise.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    BLOCKS.with(|n| n.set(n.get() + (blocks.len() / 64) as u64));
+    #[cfg(target_arch = "x86_64")]
+    if ni::compress(state, blocks) {
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+/// The portable kernel: the specification's 64-round compression
+/// function, one block at a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let temp2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(temp1);
+            d = c;
+            c = b;
+            b = a;
+            a = temp1.wrapping_add(temp2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
 /// Streaming SHA-256 state. Most callers want the one-shot [`sha256`].
 #[derive(Clone)]
 pub struct Sha256 {
@@ -122,94 +202,56 @@ impl Sha256 {
     }
 
     /// Feeds bytes into the hash.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress);
+    }
+
+    /// Finishes the hash and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finish(compress)
+    }
+
+    /// Completes a buffered block if `data` fills it, hands the run of
+    /// full blocks that follows to `kernel` in one call, straight from
+    /// `data`, and buffers the tail.
+    fn absorb(&mut self, mut data: &[u8], kernel: Kernel) {
         self.length += data.len() as u64;
         if self.buffered > 0 {
             let take = (64 - self.buffered).min(data.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            kernel(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let full = data.len() - data.len() % 64;
+        if full > 0 {
+            kernel(&mut self.state, &data[..full]);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let tail = &data[full..];
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
-    /// Finishes the hash and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        // Capture the true message bit length before padding bytes pass
-        // through `update` (which also counts them — harmlessly, since
-        // `length` is not read again).
-        let bit_len = self.length * 8;
-        // Padding: 0x80, zeros to 56 (mod 64), 64-bit big-endian length.
-        let rem = (self.buffered + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        let mut pad = Vec::with_capacity(1 + zeros + 8);
-        pad.push(0x80);
-        pad.resize(1 + zeros, 0);
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
-        debug_assert_eq!(self.buffered, 0);
+    /// Pads the buffered tail on the stack — 0x80, zeros to 56 (mod 64),
+    /// the 64-bit big-endian bit length — compresses the one or two
+    /// final blocks and reads out the digest.
+    fn finish(mut self, kernel: Kernel) -> Digest {
+        let mut tail = [0u8; 128];
+        let n = self.buffered;
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&(self.length * 8).to_be_bytes());
+        kernel(&mut self.state, &tail[..len]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -223,39 +265,104 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every kernel under test: the scalar reference, the run-time
+    /// dispatch every caller gets, and — where the CPU has it — the
+    /// hardware kernel on its own.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> =
+            vec![("scalar", compress_scalar), ("dispatched", compress)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::compress(&mut H0.clone(), &[0; 64]) {
+            kernels.push(("sha-ni", |state, blocks| assert!(ni::compress(state, blocks))));
+        }
+        kernels
+    }
+
+    /// Hashes `parts`, fed one `update` each, through `kernel` alone.
+    fn digest_with(kernel: Kernel, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for part in parts {
+            h.absorb(part, kernel);
+        }
+        h.finish(kernel)
+    }
+
+    /// Checks `data` against a known digest through `sha256` and every
+    /// kernel.
+    fn assert_vector(data: &[u8], hex: &str) {
+        assert_eq!(sha256(data).to_hex(), hex, "one-shot, {} bytes", data.len());
+        for (name, kernel) in kernels() {
+            assert_eq!(digest_with(kernel, &[data]).to_hex(), hex, "{name}, {} bytes", data.len());
+        }
+    }
 
     /// NIST FIPS 180-4 / de-facto standard vectors.
     #[test]
     fn empty_string() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_vector(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_vector(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_vector(&data, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+    }
+
+    #[test]
+    fn blocks_compressed_counts_this_threads_blocks() {
+        let before = blocks_compressed();
+        sha256(&[0; 55]); // one block: the length fits after the 0x80
+        sha256(&[0; 56]); // two: it no longer does
+        sha256(&[0; 200]); // three full blocks straight from the input, one padding block
+        assert_eq!(blocks_compressed() - before, 1 + 2 + 4);
+        let other = std::thread::spawn(|| {
+            sha256(&[0; 1000]);
+            blocks_compressed()
+        });
+        assert_eq!(other.join().unwrap(), 16);
+        assert_eq!(blocks_compressed() - before, 7, "another thread's hashing is not counted");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any message up to 2 KiB, fed in up to four pieces at random
+        /// split points, hashes the same through every kernel as
+        /// through one-shot `sha256`.
+        #[test]
+        fn kernels_agree_on_random_streams(
+            data in prop::collection::vec(any::<u8>(), 0..=2048),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+        ) {
+            let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+            at.sort_unstable();
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for &to in &at {
+                parts.push(&data[from..to]);
+                from = to;
+            }
+            parts.push(&data[from..]);
+            let want = sha256(&data);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(digest_with(kernel, &parts), want, "kernel {}", name);
+            }
+        }
     }
 
     #[test]
@@ -280,8 +387,7 @@ mod tests {
             (64usize, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
         ];
         for (len, hex) in known {
-            let data = vec![b'a'; len];
-            assert_eq!(sha256(&data).to_hex(), hex, "len {len}");
+            assert_vector(&vec![b'a'; len], hex);
         }
     }
 

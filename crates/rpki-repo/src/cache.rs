@@ -25,10 +25,11 @@ use crate::client::{sync_dir, RepoRegistry, SyncOutcome};
 use crate::proto::{RsyncRequest, RsyncResponse};
 use rpki_objects::{Decode, Encode};
 
-/// Last-seen publication-point contents, keyed by directory URI.
+/// Last-seen publication-point contents, keyed by directory URI, each
+/// file with the digest it was verified against when it arrived.
 #[derive(Debug, Default)]
 pub struct SyncCache {
-    dirs: BTreeMap<String, BTreeMap<String, Vec<u8>>>,
+    dirs: BTreeMap<String, BTreeMap<String, (Digest, Vec<u8>)>>,
 }
 
 impl SyncCache {
@@ -39,12 +40,12 @@ impl SyncCache {
 
     /// The cached bytes for `dir/name`, if any.
     pub fn get(&self, dir: &RepoUri, name: &str) -> Option<&[u8]> {
-        self.dirs.get(&dir.to_string())?.get(name).map(Vec::as_slice)
+        self.dirs.get(&dir.to_string())?.get(name).map(|(_, bytes)| bytes.as_slice())
     }
 
-    /// Digest of the cached copy of `dir/name`, if any.
-    fn digest_of(&self, dir: &str, name: &str) -> Option<Digest> {
-        self.dirs.get(dir)?.get(name).map(|b| sha256(b))
+    /// The cached digest and bytes of `dir/name`, if any.
+    fn entry(&self, dir: &str, name: &str) -> Option<&(Digest, Vec<u8>)> {
+        self.dirs.get(dir)?.get(name)
     }
 
     /// Records a full outcome (used by both sync flavours).
@@ -55,7 +56,8 @@ impl SyncCache {
         let entry = self.dirs.entry(outcome.dir.to_string()).or_default();
         entry.clear();
         for (name, bytes) in &outcome.files {
-            entry.insert(name.clone(), bytes.clone());
+            let digest = outcome.file_digest(name).expect("file is present");
+            entry.insert(name.clone(), (digest, bytes.clone()));
         }
     }
 
@@ -102,11 +104,12 @@ pub fn sync_dir_incremental(
                 RsyncResponse::Listing { entries, .. } => {
                     outcome.listed = true;
                     for (name, digest) in entries {
-                        if cache.digest_of(&dir_key, &name) == Some(digest) {
+                        if let Some((_, bytes)) =
+                            cache.entry(&dir_key, &name).filter(|(cached, _)| *cached == digest)
+                        {
                             // Unchanged: reuse without a GET.
-                            let bytes =
-                                cache.get(dir, &name).expect("digest implies presence").to_vec();
-                            outcome.files.insert(name, bytes);
+                            outcome.files.insert(name.clone(), bytes.clone());
+                            outcome.digests.insert(name, digest);
                             stats.reused += 1;
                         } else {
                             expected.insert(name.clone(), digest);
@@ -122,6 +125,7 @@ pub fn sync_dir_incremental(
                     Some(digest) if sha256(&bytes) == *digest => {
                         received.insert(name.clone());
                         stats.fetched += 1;
+                        outcome.digests.insert(name.clone(), *digest);
                         outcome.files.insert(name, bytes);
                     }
                     Some(_) => {

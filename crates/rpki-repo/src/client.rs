@@ -151,6 +151,15 @@ pub struct SyncOutcome {
     pub dir: RepoUri,
     /// Files that arrived and matched the listing's digest.
     pub files: BTreeMap<String, Vec<u8>>,
+    /// SHA-256 digests of entries of `files`, computed from those bytes
+    /// or checked against them by the producer: the rsync session
+    /// verifies every file against its listing digest, the RRDP client
+    /// hashes every file it applies, and the repository store hashes
+    /// every write. A server's claimed digest never lands here
+    /// unchecked. Producers that hold no digests leave names out, and
+    /// [`SyncOutcome::file_digest`] hashes those on demand. Whoever
+    /// changes a file's bytes must drop or update its digest.
+    pub digests: BTreeMap<String, Digest>,
     /// Files the listing promised but that never arrived as a frame
     /// (dropped in flight, or response frame corrupted beyond decoding).
     pub missing: Vec<String>,
@@ -176,6 +185,7 @@ impl SyncOutcome {
         SyncOutcome {
             dir,
             files: BTreeMap::new(),
+            digests: BTreeMap::new(),
             missing: Vec::new(),
             corrupted: Vec::new(),
             listed: false,
@@ -189,6 +199,7 @@ impl SyncOutcome {
         SyncOutcome {
             dir,
             files,
+            digests: BTreeMap::new(),
             missing: Vec::new(),
             corrupted: Vec::new(),
             listed: true,
@@ -203,6 +214,7 @@ impl SyncOutcome {
         SyncOutcome {
             dir,
             files,
+            digests: BTreeMap::new(),
             missing: Vec::new(),
             corrupted: Vec::new(),
             listed: true,
@@ -234,12 +246,23 @@ impl SyncOutcome {
             return Some(digest);
         }
         let entries: Vec<(&str, Digest)> =
-            self.files.iter().map(|(n, b)| (n.as_str(), sha256(b))).collect();
+            self.files.iter().map(|(n, b)| (n.as_str(), self.digest_of(n, b))).collect();
         let mut missing: Vec<&str> = self.missing.iter().map(String::as_str).collect();
         missing.sort_unstable();
         let mut corrupted: Vec<&str> = self.corrupted.iter().map(String::as_str).collect();
         corrupted.sort_unstable();
         Some(dir_content_digest(&entries, &missing, &corrupted))
+    }
+
+    /// The SHA-256 of `files[name]`: the digest the producer carried,
+    /// or one computed from the bytes when it carried none. `None` when
+    /// no such file arrived.
+    pub fn file_digest(&self, name: &str) -> Option<Digest> {
+        self.files.get(name).map(|bytes| self.digest_of(name, bytes))
+    }
+
+    fn digest_of(&self, name: &str, bytes: &[u8]) -> Digest {
+        self.digests.get(name).copied().unwrap_or_else(|| sha256(bytes))
     }
 }
 
@@ -484,8 +507,9 @@ struct SessionResult {
 /// Runs exactly one list/fetch session against `server`, accounting
 /// for every outstanding exchange so it terminates without draining
 /// unrelated events. `have` supplies already-verified bytes from prior
-/// attempts: files whose listing digest matches are reused without a
-/// GET (rsync-style delta across retries).
+/// attempts, with their verified digests: files whose digest matches
+/// the listing are reused without a GET (rsync-style delta across
+/// retries) and without re-hashing.
 fn run_session(
     net: &mut Network,
     repos: &RepoRegistry,
@@ -493,7 +517,7 @@ fn run_session(
     server: NodeId,
     dir: &RepoUri,
     deadline: Option<u64>,
-    have: &BTreeMap<String, Vec<u8>>,
+    have: &BTreeMap<String, (Digest, Vec<u8>)>,
 ) -> SessionResult {
     let rec = net.recorder();
     let mut outcome = SyncOutcome::unreachable(dir.clone());
@@ -546,11 +570,12 @@ fn run_session(
                         RsyncResponse::Listing { entries, .. } => {
                             outcome.listed = true;
                             for (name, digest) in entries {
-                                let reusable =
-                                    have.get(&name).is_some_and(|bytes| sha256(bytes) == digest);
                                 digests.insert(name.clone(), digest);
-                                if reusable {
-                                    outcome.files.insert(name.clone(), have[&name].clone());
+                                if let Some((_, bytes)) =
+                                    have.get(&name).filter(|(verified, _)| *verified == digest)
+                                {
+                                    outcome.files.insert(name.clone(), bytes.clone());
+                                    outcome.digests.insert(name, digest);
                                 } else {
                                     outstanding += 1;
                                     net.send(
@@ -564,6 +589,7 @@ fn run_session(
                         RsyncResponse::File { name, bytes, .. } => {
                             match digests.get(&name) {
                                 Some(digest) if sha256(&bytes) == *digest => {
+                                    outcome.digests.insert(name.clone(), *digest);
                                     outcome.files.insert(name, bytes);
                                 }
                                 Some(_) => {
@@ -620,9 +646,9 @@ fn run_session(
     if outcome.listed {
         // Every file in the outcome is digest-verified against the
         // listing, so the canonical content digest derives from the
-        // listing's digests — no bytes are re-hashed.
+        // verified digests — no bytes are re-hashed.
         let entries: Vec<(&str, Digest)> =
-            outcome.files.keys().filter_map(|n| digests.get(n).map(|d| (n.as_str(), *d))).collect();
+            outcome.digests.iter().map(|(n, d)| (n.as_str(), *d)).collect();
         let missing: Vec<&str> = outcome.missing.iter().map(String::as_str).collect();
         let mut corrupted: Vec<&str> = outcome.corrupted.iter().map(String::as_str).collect();
         corrupted.sort_unstable();
@@ -672,7 +698,7 @@ pub fn sync_dir_with_policy(
         return (SyncOutcome::unreachable(dir.clone()), report);
     };
     let attempts = policy.attempts.max(1);
-    let mut have: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    let mut have: BTreeMap<String, (Digest, Vec<u8>)> = BTreeMap::new();
     let mut best: Option<SyncOutcome> = None;
     for attempt in 1..=attempts {
         let started_at = net.now();
@@ -700,7 +726,9 @@ pub fn sync_dir_with_policy(
             corrupted: outcome.corrupted.len(),
             deadline_hit,
         });
-        have.extend(outcome.files.clone());
+        have.extend(
+            outcome.digests.iter().map(|(n, d)| (n.clone(), (*d, outcome.files[n].clone()))),
+        );
         let done = outcome.is_complete();
         // A listed outcome always beats an unreachable one; among
         // listed outcomes the latest wins (it reuses all prior files).

@@ -681,10 +681,17 @@ impl DirState {
         dir_content_digest(&entries, &[], &[])
     }
 
-    fn outcome(&self, dir: &RepoUri) -> SyncOutcome {
-        let files = self.files.iter().map(|(n, (_, b))| (n.clone(), b.clone())).collect();
-        let mut out = SyncOutcome::fresh(dir.clone(), files);
-        out.content = Some(self.content());
+    /// The outcome of a sync that left this state. `content` is the
+    /// notification's content digest, which the caller has already
+    /// checked [`DirState::content`] against. Every file carries the
+    /// digest this client computed from its bytes.
+    fn outcome(&self, dir: &RepoUri, content: Digest) -> SyncOutcome {
+        let mut out = SyncOutcome::fresh(dir.clone(), BTreeMap::new());
+        for (name, (digest, bytes)) in &self.files {
+            out.files.insert(name.clone(), bytes.clone());
+            out.digests.insert(name.clone(), *digest);
+        }
+        out.content = Some(content);
         out
     }
 }
@@ -1103,7 +1110,7 @@ pub fn rrdp_sync_dir(
         }
         emit_sync(net, RrdpSyncKind::Unchanged, notif.serial, None);
         let local = &state.dirs[&key];
-        return Ok((local.outcome(dir), RrdpSyncKind::Unchanged));
+        return Ok((local.outcome(dir, notif.content), RrdpSyncKind::Unchanged));
     }
 
     if let Plan::Deltas(refs) = &plan {
@@ -1158,7 +1165,7 @@ pub fn rrdp_sync_dir(
                         rec.count("repo.rrdp_deltas_applied", n as u64);
                     }
                     emit_sync(net, RrdpSyncKind::Deltas(n), notif.serial, None);
-                    let outcome = next.outcome(dir);
+                    let outcome = next.outcome(dir, notif.content);
                     state.dirs.insert(key, next);
                     return Ok((outcome, RrdpSyncKind::Deltas(n)));
                 }
@@ -1286,7 +1293,7 @@ pub fn rrdp_sync_dir(
                 }
             }
             emit_sync(net, kind, notif.serial, Some(cause));
-            let outcome = next.outcome(dir);
+            let outcome = next.outcome(dir, notif.content);
             state.dirs.insert(key, next);
             Ok((outcome, kind))
         }

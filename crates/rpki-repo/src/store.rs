@@ -322,10 +322,19 @@ impl Repository {
     pub fn publish_snapshot(&mut self, dir: &RepoUri, snapshot: &PublicationSnapshot) {
         let policy = self.policy;
         let entry = self.dir_entry(dir);
+        // A file whose bytes did not change keeps the digest it was
+        // stored with; only new or changed bytes are hashed.
         let next: BTreeMap<String, StoredFile> = snapshot
             .files
             .iter()
-            .map(|(name, obj)| (name.clone(), StoredFile::new(obj.to_bytes())))
+            .map(|(name, obj)| {
+                let bytes = obj.to_bytes();
+                let file = match entry.files.get(name) {
+                    Some(old) if old.bytes == bytes => StoredFile { bytes, digest: old.digest },
+                    _ => StoredFile::new(bytes),
+                };
+                (name.clone(), file)
+            })
             .collect();
         let mut changes = Vec::new();
         for (name, file) in &entry.files {

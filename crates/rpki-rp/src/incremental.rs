@@ -17,8 +17,9 @@
 //!   [`SyncOutcome::content_digest`](rpki_repo::SyncOutcome::content_digest)
 //!   over the sorted `(name, digest)` pairs plus the missing/corrupted
 //!   name lists;
-//! - the **CA certificate bytes** (digest of the encoded certificate —
-//!   key, subject, validity, SIA all included);
+//! - the **CA certificate bytes** (digest of the certificate file, as
+//!   the sync that delivered it computed or verified it — key, subject,
+//!   validity, SIA all included);
 //! - the **effective resources** handed down by the parent (whacking an
 //!   ancestor changes these without touching the child's directory);
 //! - the **depth** and the policy knobs ([`IncompletePolicy`],
@@ -61,10 +62,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ipres::ResourceSet;
-use rpki_objects::{Encode, Moment, Validity};
+use rpki_objects::{Moment, Validity};
 use rpki_obs::Recorder;
 use rpki_repo::Freshness;
-use rpkisim_crypto::{sha256, Digest, KeyId};
+use rpkisim_crypto::{Digest, KeyId};
 use serde::Serialize;
 
 use crate::source::ObjectSource;
@@ -277,8 +278,8 @@ struct CacheEntry {
     revocations: Vec<(KeyId, u64)>,
     rejected_cas: Vec<RejectedCa>,
     /// Child CAs in the order processing queued them, each with its
-    /// cert digest precomputed so replayed subtrees never re-encode or
-    /// re-hash certificates.
+    /// certificate file digest, so replayed subtrees never re-hash
+    /// certificates.
     children: Vec<(rpki_objects::ResourceCert, ResourceSet, Digest)>,
 }
 
@@ -384,7 +385,7 @@ impl Validator {
         }
 
         let key = item.cert.data().subject_key.id();
-        let cert_digest = item.digest.unwrap_or_else(|| sha256(&item.cert.to_bytes()));
+        let cert_digest = item.digest;
         let now = config.now.0;
         let usable = state.entries.get(&key).is_some_and(|e| {
             e.cert_digest == cert_digest
@@ -477,10 +478,7 @@ impl Validator {
             rejected_cas: run.rejected_cas[rej_mark..].to_vec(),
             children: queue[queue_mark..]
                 .iter()
-                .map(|w| {
-                    let digest = w.digest.unwrap_or_else(|| sha256(&w.cert.to_bytes()));
-                    (w.cert.clone(), w.effective.clone(), digest)
-                })
+                .map(|w| (w.cert.clone(), w.effective.clone(), w.digest))
                 .collect(),
         };
         state.entries.insert(key, entry);
@@ -514,7 +512,7 @@ impl Validator {
                 effective: effective.clone(),
                 depth: entry.depth + 1,
                 ancestors: ancestors.clone(),
-                digest: Some(*digest),
+                digest: *digest,
             });
         }
     }

@@ -172,6 +172,8 @@ struct DirSchedule {
     /// Last-good file set, served while the point is not due or the
     /// budget deferred it.
     files: BTreeMap<String, Vec<u8>>,
+    /// The digests `files` arrived with, carried into what is served.
+    digests: BTreeMap<String, Digest>,
     /// Whether a complete fetch has ever populated `files`.
     listed: bool,
 }
@@ -389,6 +391,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         let age = now.saturating_sub(entry.last_success);
         self.state.run.max_served_age = self.state.run.max_served_age.max(age);
         let mut out = SyncOutcome::fresh(dir.clone(), entry.files.clone());
+        out.digests = entry.digests.clone();
         out.content = entry.marker;
         out
     }
@@ -438,6 +441,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
             last_success: done,
             marker: None,
             files: BTreeMap::new(),
+            digests: BTreeMap::new(),
             listed: false,
         });
         let changed = entry.marker != digest;
@@ -463,6 +467,7 @@ impl<'s, S: ObjectSource> ScheduledSource<'s, S> {
         }
         entry.marker = digest;
         entry.files = outcome.files.clone();
+        entry.digests = outcome.digests.clone();
         entry.listed = true;
         entry.last_success = done;
         entry.next_due = done + entry.interval + plan.jitter_for(dir);

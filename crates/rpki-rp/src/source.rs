@@ -149,14 +149,19 @@ impl ObjectSource for DirectSource<'_> {
     fn load_dir(&mut self, dir: &RepoUri) -> SyncOutcome {
         match self.repos.by_host(dir.host()) {
             Some(repo) => {
+                // The store hashes every file when it is written, so its
+                // listing digests are the digests of the bytes fetched.
                 let mut files = BTreeMap::new();
-                for (name, _) in repo.list(dir) {
+                let mut digests = BTreeMap::new();
+                for (name, digest) in repo.list(dir) {
                     if let Some(bytes) = repo.fetch(dir, &name) {
-                        files.insert(name, bytes.to_vec());
+                        files.insert(name.clone(), bytes.to_vec());
+                        digests.insert(name, digest);
                     }
                 }
                 SyncOutcome {
                     files,
+                    digests,
                     listed: true,
                     freshness: rpki_repo::Freshness::Fresh,
                     content: Some(repo.content_digest(dir)),

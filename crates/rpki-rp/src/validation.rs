@@ -27,7 +27,7 @@ use ipres::ResourceSet;
 use rpki_objects::{Decode, Moment, RepoUri, ResourceCert, RpkiObject, TrustAnchorLocator};
 use rpki_obs::Recorder;
 use rpki_repo::{Freshness, SyncOutcome};
-use rpkisim_crypto::{sha256, Digest, KeyId};
+use rpkisim_crypto::{Digest, KeyId};
 use serde::Serialize;
 
 use crate::incremental::{ProcessObservations, RevalidationStats, ValidationState};
@@ -380,9 +380,10 @@ pub(crate) struct WorkItem {
     pub(crate) depth: usize,
     /// Keys of every CA above this one (loop detection).
     pub(crate) ancestors: BTreeSet<KeyId>,
-    /// Digest of the encoded certificate, when a cache already knows it
-    /// (replayed subtrees); `None` means compute on demand.
-    pub(crate) digest: Option<Digest>,
+    /// SHA-256 of the certificate's file, as the sync that delivered it
+    /// computed or verified it: the incremental cache key, so no walk
+    /// re-encodes or re-hashes a certificate.
+    pub(crate) digest: Digest,
 }
 
 impl Validator {
@@ -429,14 +430,14 @@ impl Validator {
 
         for tal in tals {
             match self.fetch_ta(source, tal) {
-                Some(cert) => {
+                Some((cert, digest)) => {
                     let effective = cert.data().resources.clone();
                     queue.push(WorkItem {
                         cert,
                         effective,
                         depth: 0,
                         ancestors: BTreeSet::new(),
-                        digest: None,
+                        digest,
                     })
                 }
                 None => run.diagnostics.push(Diagnostic {
@@ -498,11 +499,13 @@ impl Validator {
         }
     }
 
+    /// Fetches, decodes and checks the TAL's certificate; returns it with
+    /// its file digest.
     fn fetch_ta(
         &self,
         source: &mut dyn ObjectSource,
         tal: &TrustAnchorLocator,
-    ) -> Option<ResourceCert> {
+    ) -> Option<(ResourceCert, Digest)> {
         let file = tal.uri.file_name()?.to_owned();
         let parent_components: Vec<&str> =
             tal.uri.path().iter().take(tal.uri.path().len() - 1).map(String::as_str).collect();
@@ -517,7 +520,7 @@ impl Validator {
         if !cert.data().validity.contains(self.config.now) {
             return None;
         }
-        Some(cert)
+        Some((cert, outcome.file_digest(&file)?))
     }
 
     /// Describes `item`'s CA as the [`ValidatedCa`] entry that
@@ -652,8 +655,8 @@ impl Validator {
                             diag(run, Issue::MissingFile(name.to_owned()));
                             complete = false;
                         }
-                        Some(bytes) => {
-                            if m.hash_of(name) != Some(sha256(bytes)) {
+                        Some(_) => {
+                            if m.hash_of(name) != outcome.file_digest(name) {
                                 diag(run, Issue::HashMismatch(name.to_owned()));
                                 complete = false;
                             } else {
@@ -801,7 +804,7 @@ impl Validator {
                         effective: child_effective,
                         depth: item.depth + 1,
                         ancestors,
-                        digest: None,
+                        digest: outcome.file_digest(&name).expect("walked files are present"),
                     });
                 }
                 RpkiObject::Roa(roa) => {

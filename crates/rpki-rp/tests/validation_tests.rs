@@ -5,10 +5,10 @@ use ipres::{Asn, Prefix, ResourceSet};
 use netsim::{Network, NodeId};
 use rpki_ca::CertAuthority;
 use rpki_objects::{Moment, RepoUri, RoaPrefix, Span, TrustAnchorLocator};
-use rpki_repo::RepoRegistry;
+use rpki_repo::{RepoRegistry, RrdpClientState, SyncPolicy};
 use rpki_rp::{
-    DirectSource, IncompletePolicy, Issue, NetworkSource, Route, RouteValidity, ValidationConfig,
-    Validator, Vrp,
+    DirectSource, IncompletePolicy, Issue, NetworkSource, Route, RouteValidity, RrdpSource,
+    ValidationConfig, Validator, Vrp,
 };
 
 fn p(s: &str) -> Prefix {
@@ -141,6 +141,19 @@ impl World {
         let mut source = NetworkSource::new(&mut self.net, &self.repos, self.rp_node);
         Validator::new(config).run(&mut source, std::slice::from_ref(&self.tal))
     }
+
+    /// A cold walk over a verified RRDP source with fresh client state.
+    fn validate_rrdp(&mut self, config: ValidationConfig) -> rpki_rp::ValidationRun {
+        let mut state = RrdpClientState::new();
+        let mut source = RrdpSource::new(
+            &mut self.net,
+            &self.repos,
+            self.rp_node,
+            &mut state,
+            SyncPolicy::default(),
+        );
+        Validator::new(config).run(&mut source, std::slice::from_ref(&self.tal))
+    }
 }
 
 #[test]
@@ -219,17 +232,31 @@ fn corrupted_file_detected_and_policy_matters() {
         .unwrap()
         .corrupt_at_rest(&w.continental_dir.clone(), &target);
 
-    // AcceptPartial: the corrupted file is rejected, everything else
-    // survives.
-    let run = w.validate_direct(ValidationConfig::at(Moment(2)));
-    assert!(run.has_issue(&Issue::HashMismatch(target.clone())));
-    assert_eq!(run.vrps.len(), 3);
+    // The rot sits at rest, so rsync's listing and the RRDP feed both
+    // describe the rotten bytes and every transport delivers them
+    // intact, each carrying a digest it computed or verified. Only the
+    // manifest check can catch the rot, whichever transport it runs on.
+    type Walk = fn(&mut World, ValidationConfig) -> rpki_rp::ValidationRun;
+    let transports: [(&str, Walk); 3] = [
+        ("direct", World::validate_direct),
+        ("rsync", World::validate_network),
+        ("rrdp", World::validate_rrdp),
+    ];
+    for (transport, validate) in transports {
+        // AcceptPartial: the corrupted file is rejected, everything
+        // else survives.
+        let run = validate(&mut w, ValidationConfig::at(Moment(2)));
+        assert!(run.has_issue(&Issue::HashMismatch(target.clone())), "{transport}");
+        assert_eq!(run.vrps.len(), 3, "{transport}");
 
-    // RejectPublicationPoint: Continental's whole point is discarded.
-    let strict = w.validate_direct(ValidationConfig::strict_at(Moment(2)));
-    assert!(strict.has_issue(&Issue::RejectedPublicationPoint));
-    assert_eq!(strict.vrps.len(), 2);
-    assert!(strict.vrps.iter().all(|v| v.asn == Asn(1239)));
+        // RejectPublicationPoint: Continental's whole point is
+        // discarded.
+        let strict = validate(&mut w, ValidationConfig::strict_at(Moment(2)));
+        assert!(strict.has_issue(&Issue::HashMismatch(target.clone())), "{transport}");
+        assert!(strict.has_issue(&Issue::RejectedPublicationPoint), "{transport}");
+        assert_eq!(strict.vrps.len(), 2, "{transport}");
+        assert!(strict.vrps.iter().all(|v| v.asn == Asn(1239)), "{transport}");
+    }
 }
 
 #[test]
